@@ -65,7 +65,7 @@ def bench_knbest_selection(benchmark):
     """Two-stage selection over 100 candidates."""
     _, _, registry, _, providers = build_system()
     selector = KnBestSelector(k=20, kn=10, stream=RandomStream(5))
-    benchmark(lambda: selector.select(providers))
+    benchmark(lambda: selector.sample_working(providers))
 
 
 def bench_sbqa_policy_select(benchmark):

@@ -16,9 +16,8 @@ The demo evaluates SbQA against the techniques its scenarios name:
 
 All of them implement :class:`repro.core.policy.AllocationPolicy`, so
 the satisfaction model analyses them exactly like SbQA (paper claim i).
-Every baseline also implements the hot-path ``select_fast`` hook with
-bit-identical decisions, so ``engine="fast"`` covers the whole policy
-surface (see docs/performance.md's engine-coverage matrix).
+Each implements one ``select``, which both engines call on every
+mediation (see docs/performance.md's engine-coverage matrix).
 """
 
 from repro.allocation.capacity import CapacityBasedPolicy

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
@@ -87,54 +86,12 @@ class BoincSharesPolicy(AllocationPolicy):
         query: "Query",
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
-    ) -> AllocationDecision:
-        consumer_id = query.consumer_id
-        willing = []
-        for provider in candidates:
-            debt = self.debt(provider, consumer_id, ctx.now)
-            if debt == float("-inf"):
-                continue  # zero share: the provider refuses this project
-            if debt + self.overdraft * provider.capacity < query.service_demand:
-                continue  # entitlement exhausted: rigid cap bites even if idle
-            willing.append((provider, debt))
-
-        if not willing:
-            ctx.trace.record(
-                ctx.now,
-                "boinc-shares",
-                f"query {query.qid}: no provider with share budget for {consumer_id}",
-                qid=query.qid,
-            )
-            return AllocationDecision(allocated=[])
-
-        willing.sort(key=lambda item: (-item[1], item[0].participant_id))
-        take = allocation_count(query, len(willing))
-        allocated = [provider for provider, _ in willing[:take]]
-        for provider in allocated:
-            key = (provider.participant_id, consumer_id)
-            self._granted[key] = self._granted.get(key, 0.0) + query.service_demand
-        ctx.trace.record(
-            ctx.now,
-            "boinc-shares",
-            f"query {query.qid}: -> {[p.participant_id for p in allocated]}",
-            qid=query.qid,
-        )
-        return AllocationDecision(allocated=allocated)
-
-    def select_fast(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        """Hot-path :meth:`select`: one inlined debt pass.
+        """Dispatch to the willing providers with the highest debt.
 
         ``_share`` / :meth:`debt` run inline with identical arithmetic
-        (same normalisation quotient, same entitlement product), the
-        refusal / exhausted-budget filters short-circuit in the same
-        candidate order, and the ranking is a decorate-sort on the
-        same ``(-debt, participant_id)`` key -- bit-identical
-        decisions and ``_granted`` bookkeeping.
+        (same normalisation quotient, same entitlement product), and
+        the ranking is a decorate-sort on ``(-debt, participant_id)``.
         """
         now = ctx.now
         consumer_id = query.consumer_id
@@ -162,6 +119,13 @@ class BoincSharesPolicy(AllocationPolicy):
             append((-debt, p.participant_id, p))
 
         if not rows:
+            if ctx.trace.enabled:
+                ctx.trace.record(
+                    ctx.now,
+                    "boinc-shares",
+                    f"query {query.qid}: no provider with share budget for {consumer_id}",
+                    qid=query.qid,
+                )
             return FastAllocationDecision(allocated=[])
 
         rows.sort()
@@ -170,6 +134,13 @@ class BoincSharesPolicy(AllocationPolicy):
         for provider in allocated:
             key = (provider.participant_id, consumer_id)
             granted[key] = granted.get(key, 0.0) + demand
+        if ctx.trace.enabled:
+            ctx.trace.record(
+                ctx.now,
+                "boinc-shares",
+                f"query {query.qid}: -> {[p.participant_id for p in allocated]}",
+                qid=query.qid,
+            )
         return FastAllocationDecision(allocated=allocated)
 
     def describe(self) -> dict:

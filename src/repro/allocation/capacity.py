@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
@@ -45,35 +44,10 @@ class CapacityBasedPolicy(AllocationPolicy):
         query: "Query",
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
-    ) -> AllocationDecision:
-        ranked = sorted(
-            candidates,
-            key=lambda p: (-p.available_capacity, -p.capacity, p.participant_id),
-        )
-        take = allocation_count(query, len(ranked))
-        allocated = ranked[:take]
-        ctx.trace.record(
-            ctx.now,
-            "capacity",
-            f"query {query.qid}: -> {[p.participant_id for p in allocated]}",
-            qid=query.qid,
-        )
-        return AllocationDecision(allocated=allocated)
-
-    def select_fast(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        """Hot-path :meth:`select`: decorate-sort over one inlined pass.
-
-        The headroom read (``available_capacity`` -> ``utilization``
-        -> ``backlog_seconds``) is three chained properties per
-        candidate on the event path; here the identical arithmetic
-        runs inline over the candidate snapshot, so the floats -- and
-        therefore the ranking -- are bit-identical.
-        """
+        # Decorated rows inline the headroom read (available_capacity ->
+        # utilization -> backlog_seconds, same arithmetic); participant
+        # ids are unique, so the provider in slot 3 never compares.
         now = ctx.now
         rows = []
         append = rows.append
@@ -87,7 +61,15 @@ class CapacityBasedPolicy(AllocationPolicy):
             )
         rows.sort()
         take = allocation_count(query, len(rows))
-        return FastAllocationDecision(allocated=[row[3] for row in rows[:take]])
+        allocated = [row[3] for row in rows[:take]]
+        if ctx.trace.enabled:
+            ctx.trace.record(
+                ctx.now,
+                "capacity",
+                f"query {query.qid}: -> {[p.participant_id for p in allocated]}",
+                qid=query.qid,
+            )
+        return FastAllocationDecision(allocated=allocated)
 
     def describe(self) -> dict:
         return {"name": self.name, "criterion": "available capacity"}

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
@@ -71,47 +70,13 @@ class EconomicPolicy(AllocationPolicy):
         query: "Query",
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
-    ) -> AllocationDecision:
-        bids = {
-            p.participant_id: self.bid(p, query)
-            for p in candidates
-        }
-        ranked = sorted(
-            candidates, key=lambda p: (bids[p.participant_id], p.participant_id)
-        )
-        take = allocation_count(query, len(ranked))
-        allocated = ranked[:take]
-        ctx.trace.record(
-            ctx.now,
-            "economic",
-            f"query {query.qid}: cheapest bids "
-            f"{[(p.participant_id, round(bids[p.participant_id], 3)) for p in allocated]}",
-            qid=query.qid,
-        )
-        return AllocationDecision(
-            allocated=allocated,
-            # every candidate bid, so every candidate was touched by the
-            # mediation and learns the outcome
-            informed=list(candidates),
-            # one call-for-bids + one bid per candidate
-            consult_messages=2 * len(candidates),
-            metadata={"bids": bids},
-        )
-
-    def select_fast(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        """Hot-path :meth:`select`: one inlined bidding pass.
+        """Collect every candidate's :meth:`bid`; buy the cheapest.
 
-        ``bid()``'s property chain (``estimated_completion_delay`` ->
-        ``backlog_seconds`` + ``service_time``) runs inline with the
-        identical expressions, the demand guard is hoisted out of the
-        per-candidate loop, and the ranking is a decorate-sort on the
-        same ``(bid, participant_id)`` key -- so bids, ranking and the
-        decision metadata are bit-identical to the event path.
+        The bid arithmetic runs inline (``estimated_completion_delay``
+        -> ``backlog_seconds`` + ``service_time``, same expressions)
+        with the demand guard hoisted out of the loop, and the ranking
+        is a decorate-sort on ``(bid, participant_id)``.
         """
         now = ctx.now
         demand = query.service_demand
@@ -130,9 +95,21 @@ class EconomicPolicy(AllocationPolicy):
             append((bid, pid, p))
         rows.sort()
         take = allocation_count(query, len(rows))
+        allocated = [row[2] for row in rows[:take]]
+        if ctx.trace.enabled:
+            ctx.trace.record(
+                ctx.now,
+                "economic",
+                f"query {query.qid}: cheapest bids "
+                f"{[(p.participant_id, round(bids[p.participant_id], 3)) for p in allocated]}",
+                qid=query.qid,
+            )
         return FastAllocationDecision(
-            allocated=[row[2] for row in rows[:take]],
+            allocated=allocated,
+            # every candidate bid, so every candidate was touched by the
+            # mediation and learns the outcome
             informed=list(candidates),
+            # one call-for-bids + one bid per candidate
             consult_messages=2 * len(candidates),
             metadata={"bids": bids},
         )

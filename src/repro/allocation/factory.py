@@ -5,9 +5,9 @@ so scenario definitions stay declarative data; this module maps those
 names to constructors.  SbQA parameters ride in an
 :class:`~repro.core.sbqa.SbQAConfig`.
 
-Every policy built here works under both engines: each implements the
-hot-path ``select_fast`` hook bit-identically to its ``select``, so
-``engine="fast"`` needs no per-policy special-casing.
+Every policy built here works under both engines: each implements one
+``select`` that both engines call, so ``engine="fast"`` needs no
+per-policy special-casing.
 """
 
 from __future__ import annotations

@@ -4,12 +4,10 @@ These are not in the paper's scenario list; they anchor the ablation
 benches (a technique must at least beat random to matter) and give the
 test suite simple, fully predictable policies to assert against.
 
-Each baseline also implements the hot-path ``select_fast`` hook (see
-:class:`~repro.core.policy.AllocationPolicy`): the same decision,
-bit-for-bit, produced with decorate-sorts over inlined load reads and
-slot-based :class:`~repro.core.policy.FastAllocationDecision` objects,
-so ``engine="fast"`` covers these policies without falling back to the
-event-faithful ``select``.
+Each ``select`` decides with decorate-sorts over inlined load reads
+and returns a slot-based
+:class:`~repro.core.policy.FastAllocationDecision`; both engines call
+it on every mediation.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
@@ -49,20 +46,8 @@ class RandomPolicy(AllocationPolicy):
         query: "Query",
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
-    ) -> AllocationDecision:
-        take = allocation_count(query, len(candidates))
-        allocated = self._stream.sample(list(candidates), take)
-        return AllocationDecision(allocated=allocated)
-
-    def select_fast(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
     ) -> FastAllocationDecision:
-        # sample() consumes the same getrandbits sequence for any
-        # equal-length population, so drawing from the snapshot tuple
-        # directly skips the defensive list copy of select().
+        # sample() indexes the snapshot tuple in place: no defensive copy.
         take = allocation_count(query, len(candidates))
         allocated = self._stream.sample(candidates, take)
         return FastAllocationDecision(allocated=allocated)
@@ -87,20 +72,6 @@ class RoundRobinPolicy(AllocationPolicy):
         self._ordered_cache: tuple = (None, [])
 
     def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        ordered = sorted(candidates, key=lambda p: p.participant_id)
-        take = allocation_count(query, len(ordered))
-        allocated = [
-            ordered[(self._cursor + offset) % len(ordered)] for offset in range(take)
-        ]
-        self._cursor = (self._cursor + take) % len(ordered)
-        return AllocationDecision(allocated=allocated)
-
-    def select_fast(
         self,
         query: "Query",
         candidates: Sequence["Provider"],
@@ -130,18 +101,6 @@ class ShortestQueuePolicy(AllocationPolicy):
     consults_participants = False
 
     def select(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        ranked = sorted(
-            candidates, key=lambda p: (p.backlog_seconds, p.participant_id)
-        )
-        take = allocation_count(query, len(ranked))
-        return AllocationDecision(allocated=ranked[:take])
-
-    def select_fast(
         self,
         query: "Query",
         candidates: Sequence["Provider"],

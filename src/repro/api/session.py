@@ -27,6 +27,7 @@ spec layer guarantees.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -224,7 +225,8 @@ class Session:
             processes (conservative-sync parallel execution; see
             :func:`repro.federation.parallel.run_parallel`).  Digests
             are bit-identical to single-process execution; runs fall
-            back to serial when the config is ineligible.  Mutually
+            back to serial when the config is ineligible, and each such
+            fallback writes one line naming its reason to stderr.  Mutually
             exclusive with ``parallel`` (which parallelizes across
             replications instead of within one run).
         """
@@ -321,12 +323,16 @@ class Session:
             if shard_workers is not None:
                 from repro.federation.parallel import run_parallel
 
+                policy = self.spec.policies[policy_index]
                 report = run_parallel(
-                    config,
-                    self.spec.policies[policy_index],
-                    workers=shard_workers,
-                    replication=replication,
+                    config, policy, workers=shard_workers, replication=replication
                 )
+                if report.mode != "parallel":
+                    print(
+                        f"warning: {policy.label} replication {replication}: "
+                        f"shard workers fell back to a serial run ({report.reason})",
+                        file=sys.stderr,
+                    )
                 yield policy_index, replication, report.result.summary
                 continue
             result = run_once(

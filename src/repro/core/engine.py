@@ -12,10 +12,10 @@ the event-faithful core while cutting the per-mediation constant:
   (``Entity.FAST_HANDLERS``): same latency draws in the same order,
   same scheduling instants, same event ordering -- only the per-send
   allocations disappear.  Unknown kinds fall back to the envelope path.
-* :class:`FastMediator` asks policies for their batched
-  ``select_fast`` decision whenever tracing is off (*every* policy has
-  one -- the base class delegates to ``select``, and SbQA plus all six
-  baselines override it), reads ``P_q`` from the registry's cached
+* :class:`FastMediator` runs SbQA through the fused
+  structure-of-arrays kernel when the latency is a positive constant
+  (every other policy, and SbQA otherwise, through ``policy.select``
+  and an inlined ``_commit``), reads ``P_q`` from the registry's cached
   capability snapshot, computes the consultation delay analytically
   when the latency model is deterministic (every round-trip is ``2c``,
   so the max over pairs is too), and -- when the one-way delay is a
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Optional
 
-import repro.core.scoring as _scoring
 from repro.core.mediator import Mediator
 from repro.core.policy import AllocationContext
 from repro.core.soa import ConsultColumns, LazyAllocationRecord, fused_policy_supported
@@ -58,6 +57,13 @@ ENGINE_MODES = ("fast", "event")
 
 #: Default engine for newly constructed configs/specs.
 DEFAULT_ENGINE = "fast"
+
+#: Private kernel pin for the differential tests and the hot-path bench:
+#: while True, newly constructed :class:`FastMediator` objects never
+#: engage the fused kernel and serve every mediation through
+#: ``policy.select`` + ``_commit``, the scalar path the fused kernel
+#: must match digest for digest.  Read once per mediator construction.
+_PIN_SCALAR = False
 
 
 def resolve_engine(engine: str) -> str:
@@ -296,11 +302,10 @@ class FastMediator(Mediator):
     Four deviations from the base class, none of them observable in
     the results:
 
-    * decisions come from the policy's ``select_fast`` whenever
-      tracing is off -- *every* policy has one (the base class
-      delegates to ``select``; SbQA and all six baselines override it
-      with batched, slot-based implementations), so there is no
-      SbQA-only fallback branch anymore;
+    * SbQA decisions under a positive constant latency come from the
+      fused structure-of-arrays kernel (:meth:`_mediate_fused`); every
+      other mediation calls ``policy.select`` and an inlined
+      ``_commit`` with the decision's dicts adopted, not copied;
     * ``P_q`` is the registry's cached
       :meth:`~repro.system.registry.SystemRegistry.capable_snapshot`
       tuple -- no per-mediation list build;
@@ -335,15 +340,13 @@ class FastMediator(Mediator):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._constant_one_way = self.network.latency.constant_delay()
-        self._fast_select = self.policy.select_fast
+        self._policy_select = self.policy.select
         # One reusable context for the hot loop (consumed synchronously
         # by exactly one select per mediation; only .now changes).
         self._ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
         # The fused structure-of-arrays kernel (see repro.core.soa) is
         # the default mediation path; it engages when
-        #  * the scoring backend is not pinned to the scalar oracle
-        #    (SBQA_SCORING_BACKEND=scalar routes every mediation through
-        #    select_fast, the differential-testing reference);
+        #  * the module-level _PIN_SCALAR test hook is off;
         #  * the policy is exactly SbQAPolicy with a built-in omega;
         #  * the latency model has a positive constant one-way delay
         #    (the same condition the collapsed dispatch requires).
@@ -354,7 +357,7 @@ class FastMediator(Mediator):
         if (
             c is not None
             and c > 0.0
-            and _scoring._DEFAULT_BACKEND != "python"
+            and not _PIN_SCALAR
             and fused_policy_supported(self.policy)
         ):
             self._fused_columns = {}
@@ -370,14 +373,10 @@ class FastMediator(Mediator):
             return self._fail(query)
         ctx = self._ctx
         ctx.now = self.now
-        decision = self._fast_select(query, candidates, ctx)
+        decision = self._policy_select(query, candidates, ctx)
         if not decision.allocated:
             return self._fail(query)
         return self._commit(query, candidates, decision)
-
-    # No _select override: the hot mediate() above routes to select_fast
-    # itself, and the super().mediate() fallback (tracing on) wants the
-    # faithful policy.select that the base hook already provides.
 
     def _mediate_fused(self, query) -> AllocationRecord:
         """One mediation through the fused SoA kernel.
@@ -390,9 +389,9 @@ class FastMediator(Mediator):
         windows -- runs as one pass over ordinal columns, with the
         bookkeeping of :meth:`_commit` inlined.  Every float is
         produced by the same expression shapes in the same order as the
-        select_fast/_commit path, so allocations, windows and digests
-        are bit-identical (asserted by the differential oracle in
-        ``tests/oracle/``).
+        ``policy.select``/``_commit`` path, so allocations, windows and
+        digests are bit-identical (asserted by the differential oracle
+        in ``tests/oracle/``).
         """
         self.mediations += 1
         topic = query.topic
@@ -414,10 +413,10 @@ class FastMediator(Mediator):
             columns[key] = cols
         if not cols.supported:
             # Model mix outside the column encoding (custom intention
-            # models): scalar oracle path, same decision, same digests.
+            # models): scalar path, same decision, same digests.
             ctx = self._ctx
             ctx.now = self.now
-            decision = self._fast_select(query, snapshot, ctx)
+            decision = self._policy_select(query, snapshot, ctx)
             if not decision.allocated:
                 return self._fail(query)
             return self._commit(query, snapshot, decision)

@@ -21,7 +21,6 @@ interest matching (``kn = k``), which Scenario 6 demonstrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Protocol, Sequence, Tuple, TypeVar
 
 from repro.des.rng import RandomStream
@@ -38,24 +37,6 @@ class UtilizationAware(Protocol):
 
 
 P = TypeVar("P", bound=UtilizationAware)
-
-
-@dataclass(frozen=True)
-class KnBestSelection:
-    """Outcome of the two KnBest stages for one query."""
-
-    sampled: Tuple  # the set K (stage 1)
-    working: Tuple  # the set Kn (stage 2), least utilized first
-
-    @property
-    def k_effective(self) -> int:
-        """|K| -- may be below k when few providers are online."""
-        return len(self.sampled)
-
-    @property
-    def kn_effective(self) -> int:
-        """|Kn| -- may be below kn when |K| < kn."""
-        return len(self.working)
 
 
 class KnBestSelector:
@@ -81,37 +62,24 @@ class KnBestSelector:
         self.kn = kn
         self._stream = stream
 
-    def select(self, candidates: Sequence[P]) -> KnBestSelection:
-        """Run both stages over the capable set ``P_q``.
-
-        ``candidates`` may be any sequence -- in particular the
-        registry's reusable ``capable_snapshot`` tuple, which stage 1
-        samples without a defensive copy (the stream's inlined sampler
-        indexes lists and tuples in place).  When fewer than ``k``
-        candidates exist the whole set is sampled (the strategy
-        degrades gracefully as providers depart); the working set is
-        then the ``min(kn, |K|)`` least utilized.  Utilization ties
-        break on ``participant_id`` so that a seeded run is bit-for-bit
-        reproducible.
-        """
-        sampled: List[P] = self._stream.sample(candidates, self.k)
-        by_load = sorted(sampled, key=lambda p: (p.utilization, p.participant_id))
-        working = by_load[: self.kn]
-        return KnBestSelection(sampled=tuple(sampled), working=tuple(working))
-
     def sample_working(
         self, candidates: Sequence[P]
     ) -> Tuple[int, List[P], List[float]]:
-        """Both stages without the :class:`KnBestSelection` wrapper.
+        """Run both stages over the capable set ``P_q``.
 
-        The hot-path form used by ``SbQAPolicy.select_fast``: same
-        random draws, same load sort, same tie-breaking as
-        :meth:`select`, returning ``(|K|, Kn, utilizations-of-Kn)``
-        directly.  Decorate-sort replaces the per-element key lambda
-        (tuples compare in C; ``participant_id`` is unique, so the
-        provider in slot 3 never participates in a comparison), and the
-        stage-2 utilizations are handed back so intention models reading
-        load at this same instant reuse them instead of recomputing.
+        Returns ``(|K|, Kn, utilizations-of-Kn)``: ``Kn`` is the
+        ``min(kn, |K|)`` least utilized providers of the stage-1 sample,
+        least utilized first.  When fewer than ``k`` candidates exist
+        the whole set is sampled (the strategy degrades gracefully as
+        providers depart).  ``candidates`` may be any sequence -- in
+        particular the registry's reusable ``capable_snapshot`` tuple,
+        which stage 1 samples in place.  Utilization ties break on
+        ``participant_id`` so that a seeded run is bit-for-bit
+        reproducible; decorate-sort compares the ``(utilization,
+        participant_id)`` prefix in C (ids are unique, so the provider
+        in slot 3 never participates in a comparison).  The stage-2
+        utilizations are handed back so intention models reading load
+        at this same instant reuse them instead of recomputing.
         """
         sampled: List[P] = self._stream.sample(candidates, self.k)
         decorated = [(p.utilization, p.participant_id, p) for p in sampled]
@@ -120,32 +88,6 @@ class KnBestSelector:
         working = [row[2] for row in decorated[:kn]]
         loads = [row[0] for row in decorated[:kn]]
         return len(sampled), working, loads
-
-    def sample_working_ordinals(
-        self, candidates: Sequence[P], ranks: Sequence[int]
-    ) -> Tuple[int, List[Tuple[float, int, int]]]:
-        """Both stages in snapshot-ordinal space (the SoA kernel's form).
-
-        ``ranks[s]`` must be the position of ``candidates[s]`` in the
-        ``participant_id``-sorted order of the snapshot.  Integer ranks
-        are order-isomorphic to the id strings within one snapshot, so
-        the ``(utilization, rank)`` sort breaks ties exactly like
-        :meth:`sample_working`'s ``(utilization, participant_id)`` sort
-        -- the oracle tests assert this isomorphism -- while comparing
-        machine ints instead of strings.  Stage 1 draws *indices*
-        through :meth:`RandomStream.sample_indices`, which consumes the
-        identical ``getrandbits`` sequence as sampling the elements.
-
-        Returns ``(|K|, working)`` where ``working`` is the stage-2
-        list of ``(utilization, rank, ordinal)`` rows, least utilized
-        first.
-        """
-        indices = self._stream.sample_indices(len(candidates), self.k)
-        decorated = [
-            (candidates[s].utilization, ranks[s], s) for s in indices
-        ]
-        decorated.sort()
-        return len(indices), decorated[: self.kn]
 
     def __repr__(self) -> str:
         return f"KnBestSelector(k={self.k}, kn={self.kn})"

@@ -66,10 +66,10 @@ class FastAllocationDecision:
     """Duck-typed :class:`AllocationDecision` for the mediation hot path.
 
     Same attribute surface, no dataclass machinery and no
-    ``__post_init__`` validation -- producers (``select_fast``
+    ``__post_init__`` validation -- producers (the built-in ``select``
     implementations) guarantee the allocated-subset-of-informed
-    invariant by construction, and the fast mediator consumes the
-    decision exactly once.  Anything written against
+    invariant by construction, and the mediator consumes the decision
+    exactly once.  Anything written against
     :class:`AllocationDecision`'s attributes works on either.
     """
 
@@ -143,34 +143,22 @@ class AllocationPolicy:
 
         ``candidates`` is the non-empty capable set ``P_q``; the
         mediator handles the empty case before calling the policy.
-        """
-        raise NotImplementedError
-
-    def select_fast(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> "AllocationDecision":
-        """Hot-path :meth:`select`: same decision, fewer allocations.
-
-        The fast engine (:mod:`repro.core.engine`) calls this instead
-        of :meth:`select` whenever tracing is off, so *every* policy is
-        covered by ``engine="fast"``.  The contract is strict
-        bit-parity: every float and every ordering must match what
-        :meth:`select` produces from the same state.  Two additional
-        hot-path assumptions the built-in overrides exploit:
+        Both engines call this one method, so it runs once per
+        mediation.  Implementations may rely on two properties of the
+        mediators' calls:
 
         * ``candidates`` is an immutable snapshot (the registry's
           reusable :meth:`~repro.system.registry.SystemRegistry.
-          capable_snapshot` tuple), so derived data may be cached on
-          its identity;
+          capable_snapshot` tuple, or a fresh merged pool), so derived
+          data may be cached on its identity;
         * ``ctx.now`` equals the simulation clock of every candidate.
 
-        The default delegates to :meth:`select`, so third-party
-        policies are correct (if not faster) out of the box.
+        The result may be an :class:`AllocationDecision` or the lighter
+        :class:`FastAllocationDecision`.  Trace events belong behind an
+        ``if ctx.trace.enabled:`` guard so untraced runs never build
+        their payloads.
         """
-        return self.select(query, candidates, ctx)
+        raise NotImplementedError
 
     def describe(self) -> Dict[str, object]:
         """Human-readable parameterisation (reports, EXPERIMENTS.md)."""

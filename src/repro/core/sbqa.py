@@ -30,18 +30,11 @@ from repro.core.knbest import KnBestSelector
 from repro.core.omega import AdaptiveOmega, FixedOmega, OmegaPolicy, make_omega_policy
 from repro.core.policy import (
     AllocationContext,
-    AllocationDecision,
     AllocationPolicy,
     FastAllocationDecision,
     allocation_count,
 )
-from repro.core.scoring import (
-    DEFAULT_EPSILON,
-    ScoredProvider,
-    rank_providers,
-    score_providers_batch,
-    sqlb_score,
-)
+from repro.core.scoring import DEFAULT_EPSILON, score_providers_batch
 from repro.des.rng import RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _rank_key(row):
-    """Sort key matching :func:`~repro.core.scoring.rank_providers`."""
+    """``(score, provider_id)`` row key: best score first, then id."""
     return (-row[0], row[1])
 
 
@@ -118,94 +111,29 @@ class SbQAPolicy(AllocationPolicy):
         query: "Query",
         candidates: Sequence["Provider"],
         ctx: AllocationContext,
-    ) -> AllocationDecision:
-        consumer = query.consumer
-        selection = self.selector.select(candidates)
-        working = list(selection.working)
-        if ctx.trace.enabled:
-            ctx.trace.record(
-                ctx.now,
-                "knbest",
-                f"query {query.qid}: |P_q|={len(candidates)} -> |K|={selection.k_effective} "
-                f"-> |Kn|={selection.kn_effective}",
-                qid=query.qid,
-            )
+    ) -> FastAllocationDecision:
+        """KnBest sample, intention consultation, per-pair omega,
+        Definition-3 scores, rank, take ``min(n, kn)``.
 
-        consumer_satisfaction = consumer.satisfaction
-        scored = []
-        consumer_intentions = {}
-        provider_intentions = {}
-        omegas = {}
-        for provider in working:
-            pid = provider.participant_id
-            provider_intention = provider.intention_for(query)
-            consumer_intention = consumer.intention_for(query, provider)
-            omega = self.omega_policy.omega(consumer_satisfaction, provider.satisfaction)
-            score = sqlb_score(
-                provider_intention, consumer_intention, omega, self.config.epsilon
-            )
-            scored.append(
-                ScoredProvider(
-                    provider_id=pid,
-                    score=score,
-                    omega=omega,
-                    provider_intention=provider_intention,
-                    consumer_intention=consumer_intention,
-                )
-            )
-            consumer_intentions[pid] = consumer_intention
-            provider_intentions[pid] = provider_intention
-            omegas[pid] = omega
-
-        ranking = rank_providers(scored)
-        take = allocation_count(query, len(working))
-        by_id = {p.participant_id: p for p in working}
-        allocated = [by_id[entry.provider_id] for entry in ranking[:take]]
-        if ctx.trace.enabled:
-            chosen_ids = {entry.provider_id for entry in ranking[:take]}
-            ctx.trace.record(
-                ctx.now,
-                "sqlb",
-                f"query {query.qid}: ranked {[e.provider_id for e in ranking]}, "
-                f"allocated {sorted(chosen_ids)}",
-                qid=query.qid,
-            )
-
-        return AllocationDecision(
-            allocated=allocated,
-            informed=working,
-            consumer_intentions=consumer_intentions,
-            provider_intentions=provider_intentions,
-            scores={entry.provider_id: entry.score for entry in ranking},
-            omegas=omegas,
-            # one intention request + one reply per consulted provider,
-            # plus the same exchange with the consumer
-            consult_messages=2 * len(working) + 2,
-            metadata={"k_effective": selection.k_effective},
-        )
-
-    def select_fast(
-        self,
-        query: "Query",
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        """Hot-path :meth:`select`: identical decision, fewer allocations.
-
-        Used by the fast engine (:mod:`repro.core.engine`) when tracing
-        is off.  The pipeline is the same -- KnBest sample, intention
-        consultation, per-pair omega, Definition-3 scores, rank, take
-        ``min(n, kn)`` -- but the whole ``Kn`` set is scored through
-        :func:`~repro.core.scoring.score_providers_batch` (inputs
-        validated once), per-provider ``ScoredProvider`` objects are
-        never materialised, and a fixed omega is resolved outside the
-        loop.  Every float is produced by the same expressions in the
-        same order as :meth:`select`, so allocations, scores and omegas
-        are bit-identical.
+        The whole ``Kn`` set is scored in one
+        :func:`~repro.core.scoring.score_providers_batch` pass (inputs
+        come from clamped intention models and omega policies, so range
+        validation is skipped), and a fixed omega is resolved outside
+        the loop.  The fused kernel of the fast engine
+        (:meth:`~repro.core.engine.FastMediator._mediate_fused`)
+        reproduces this decision float for float.
         """
         consumer = query.consumer
         k_effective, working, loads = self.selector.sample_working(candidates)
         pids = [provider.participant_id for provider in working]
+        if ctx.trace.enabled:
+            ctx.trace.record(
+                ctx.now,
+                "knbest",
+                f"query {query.qid}: |P_q|={len(candidates)} -> |K|={k_effective} "
+                f"-> |Kn|={len(working)}",
+                qid=query.qid,
+            )
 
         # -- intention consultation (batched when the set shares one
         #    model instance, which the population builder guarantees) --
@@ -242,24 +170,28 @@ class SbQAPolicy(AllocationPolicy):
                 for p in working
             ]
 
-        # backend pinned to the python loop: it is the only backend
-        # guaranteed bit-identical to the scalar kernel select() uses,
-        # and the engine parity contract must not hinge on the
-        # SBQA_SCORING_BACKEND environment.
         scores = score_providers_batch(
             provider_intention_list,
             consumer_intention_list,
             omega_list,
             self.config.epsilon,
-            backend="python",
             validate=False,
         )
 
-        # rank_providers orders by (-score, provider_id); same key here.
+        # Best score first, ties broken on provider id (the ranking
+        # order of rank_providers).
         ranking = sorted(zip(scores, pids), key=_rank_key)
         take = allocation_count(query, len(working))
         by_id = dict(zip(pids, working))
         allocated = [by_id[pid] for _, pid in ranking[:take]]
+        if ctx.trace.enabled:
+            ctx.trace.record(
+                ctx.now,
+                "sqlb",
+                f"query {query.qid}: ranked {[pid for _, pid in ranking]}, "
+                f"allocated {sorted(pid for _, pid in ranking[:take])}",
+                qid=query.qid,
+            )
 
         return FastAllocationDecision(
             allocated=allocated,
@@ -268,6 +200,8 @@ class SbQAPolicy(AllocationPolicy):
             provider_intentions=dict(zip(pids, provider_intention_list)),
             scores={pid: score for score, pid in ranking},
             omegas=dict(zip(pids, omega_list)),
+            # one intention request + one reply per consulted provider,
+            # plus the same exchange with the consumer
             consult_messages=2 * len(working) + 2,
             metadata={"k_effective": k_effective},
         )

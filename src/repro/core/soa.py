@@ -64,7 +64,7 @@ math fall back to the scalar oracle path automatically):
 
 Any other combination makes :meth:`ConsultColumns.build` return an
 :class:`UnsupportedColumns` marker and the engine falls back to the
-``select_fast`` scalar path -- same decisions, same digests, just
+scalar ``policy.select`` path -- same decisions, same digests, just
 without the fused kernel's constant-factor savings.
 """
 
@@ -318,7 +318,7 @@ class LazyAllocationRecord(AllocationRecord):
     reads scalar record fields (adequation, consultation delay, the
     allocated list), so the five per-provider dicts of the faithful
     record are built lazily from the rows -- and in the *same insertion
-    order* as ``SbQAPolicy.select_fast`` builds them (intentions and
+    order* as ``SbQAPolicy.select`` builds them (intentions and
     omegas in working-set order, scores in ranking order), so code
     iterating the maps observes identical ordering on either path.
     """

@@ -12,10 +12,10 @@ and the universal policy fast paths:
     structure-of-arrays kernel (:mod:`repro.core.soa`): ordinal
     columns, inlined stage-1 sampling, one-pass consult/score/rank,
     lazy allocation records;
-  - ``fast_scalar``: the same engine pinned to the scalar oracle path
-    (``SBQA_SCORING_BACKEND=scalar`` -> ``select_fast`` + ``_commit``),
-    the differential-testing reference the fused kernel must match
-    digest for digest;
+  - ``fast_scalar``: the same engine pinned to the scalar path
+    (``repro.core.engine._PIN_SCALAR`` -> ``policy.select`` +
+    ``_commit``), the differential-testing reference the fused kernel
+    must match digest for digest;
   - ``event``: the event-faithful reference core as it stands today
     (already carrying the shared O(1) satisfaction windows and the
     registry capability snapshots);
@@ -23,12 +23,13 @@ and the universal policy fast paths:
     reconstructed -- per-read ``mean(deque)`` satisfaction
     recomputation, eagerly formatted trace payloads, and a per-query
     ``can_serve`` scan over every registered provider -- i.e. what
-    every mediation cost before this engine landed.
+    every mediation cost before this engine landed, around the one
+    policy ``select`` all configurations share.
 
 * **Policy dimension** -- the same fast-vs-event split for every
-  allocation technique: since every policy implements ``select_fast``,
-  ``engine="fast"`` covers the economic / capacity / simple baselines
-  on the hot path, and this matrix tracks what that is worth.
+  allocation technique: ``engine="fast"`` serves the economic /
+  capacity / simple baselines through their ``select`` and the inlined
+  ``_commit``, and this matrix tracks what that is worth.
 
 * **N-providers scaling axis** -- fast-engine throughput as the
   population grows (120 -> 10000): with the indexed registry the
@@ -63,7 +64,7 @@ import platform
 import time
 from typing import Dict, Iterable, Optional, Sequence
 
-import repro.core.scoring as _scoring
+import repro.core.engine as _engine
 from repro.allocation.factory import make_policy
 from repro.core.engine import FastMediator, FastNetwork
 from repro.core.intentions import PreferenceUtilizationIntentions
@@ -98,9 +99,9 @@ from repro.system.registry import SystemRegistry
 BENCH_VERSION = 5
 
 #: Engines measured by the throughput kernel, in reporting order.
-#: ``fast`` runs the fused structure-of-arrays kernel (the default when
-#: numpy is importable); ``fast_scalar`` pins the fast engine to the
-#: scalar select_fast/_commit oracle path (SBQA_SCORING_BACKEND=scalar).
+#: ``fast`` runs the fused structure-of-arrays kernel (the default);
+#: ``fast_scalar`` pins the fast engine to the scalar select/_commit
+#: path (``repro.core.engine._PIN_SCALAR``).
 CONFIGURATIONS = ("fast", "fast_scalar", "event", "seed_baseline")
 
 #: Policies measured by the policy matrix, in reporting order.
@@ -323,12 +324,12 @@ def build_mediation_system(
             return SbQAPolicy(SbQAConfig(k=k, kn=kn), knbest_stream)
         return make_policy(policy, policy_root, sbqa=SbQAConfig(k=k, kn=kn))
 
-    # FastMediator reads the scoring backend once at construction, so
-    # pinning the scalar oracle path only needs a temporary override
-    # around the constructor (every shard constructor, when federated).
-    previous_backend = _scoring._DEFAULT_BACKEND
+    # FastMediator reads the scalar pin once at construction, so pinning
+    # the scalar path only needs a temporary override around the
+    # constructor (every shard constructor, when federated).
+    previous_pin = _engine._PIN_SCALAR
     if configuration == "fast_scalar":
-        _scoring._DEFAULT_BACKEND = "python"
+        _engine._PIN_SCALAR = True
     try:
         if shards > 1:
             from repro.federation import FederationConfig, build_federation
@@ -354,7 +355,7 @@ def build_mediation_system(
                 trace=SeedTraceCost() if seed_baseline else NULL_RECORDER,
             )
     finally:
-        _scoring._DEFAULT_BACKEND = previous_backend
+        _engine._PIN_SCALAR = previous_pin
     for member in consumer_objs:
         member.attach_mediator(mediator)
     if consumers > 1:
@@ -449,8 +450,8 @@ def measure_policy_matrix(
 ) -> Dict[str, Dict[str, object]]:
     """Fast-vs-event throughput for every allocation technique.
 
-    Every policy has a ``select_fast``, so the fast engine covers the
-    whole matrix; this measures what that is worth per technique.
+    The fast engine serves every policy; this measures what that is
+    worth per technique.
     """
     matrix: Dict[str, Dict[str, object]] = {}
     for policy in policies:
@@ -793,8 +794,8 @@ def check_digest_parity(
             keep_runs=False
         )
         digests[engine] = result.to_json()
-    previous_backend = _scoring._DEFAULT_BACKEND
-    _scoring._DEFAULT_BACKEND = "python"
+    previous_pin = _engine._PIN_SCALAR
+    _engine._PIN_SCALAR = True
     try:
         digests["fast_scalar"] = (
             Session(_mixed_spec("fast", duration, n_providers))
@@ -802,7 +803,7 @@ def check_digest_parity(
             .to_json()
         )
     finally:
-        _scoring._DEFAULT_BACKEND = previous_backend
+        _engine._PIN_SCALAR = previous_pin
     identical = digests["fast"] == digests["event"]
     scalar_identical = digests["fast"] == digests["fast_scalar"]
     return {

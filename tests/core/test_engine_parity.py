@@ -2,8 +2,9 @@
 
 Three layers of evidence:
 
-* decision-level: ``SbQAPolicy.select_fast`` reproduces ``select``'s
-  allocation, scores, omegas and intentions exactly;
+* decision-level: ``SbQAPolicy.select`` reproduces its reference
+  twin's (``tests/oracle/reference_policies.py``) allocation, scores,
+  omegas and intentions exactly;
 * run-level: full experiment digests (``ExperimentResult.to_json``)
   are byte-identical between ``engine="fast"`` and ``engine="event"``
   across latency regimes, churn, crashes and policies -- while the
@@ -11,8 +12,8 @@ Three layers of evidence:
   collapse is active;
 * preset-level: every shipped scenario preset, scaled down, produces
   byte-identical ``ExperimentResult`` digests under both engines, and
-  the fused SoA kernel matches the scalar oracle backend digest for
-  digest (the engine-level face of the tests/oracle/ contract).
+  the fused SoA kernel matches the scalar path digest for digest (the
+  engine-level face of the tests/oracle/ contract).
 """
 
 import json
@@ -44,6 +45,7 @@ from repro.system.consumer import Consumer
 from repro.system.provider import Provider
 from repro.system.query import Query
 from repro.system.registry import SystemRegistry
+from tests.oracle.reference_policies import ReferenceSbQAPolicy
 
 def run_digest(engine, **overrides):
     """One short session run's JSON digest under the given engine."""
@@ -122,11 +124,12 @@ def build_micro_system(n_providers=60, seed=11, latency=None):
 class TestSelectFastParity:
     @pytest.mark.parametrize("omega", ["adaptive", 0.0, 0.3, 1.0])
     def test_decision_equals_select(self, omega):
-        """select_fast reproduces select bit-for-bit, field by field."""
+        """The product select reproduces the reference select
+        bit-for-bit, field by field."""
         sim, network, registry, consumer, providers = build_micro_system()
         config = SbQAConfig(k=15, kn=7, omega=omega)
         # Same stream seed => both policies draw the same stage-1 sample.
-        slow = SbQAPolicy(config, RandomStream(3))
+        slow = ReferenceSbQAPolicy(config, RandomStream(3))
         fast = SbQAPolicy(config, RandomStream(3))
         ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
         for round_index in range(30):
@@ -138,7 +141,7 @@ class TestSelectFastParity:
                 issued_at=0.0,
             )
             a = slow.select(query, providers, ctx)
-            b = fast.select_fast(query, providers, ctx)
+            b = fast.select(query, providers, ctx)
             assert [p.participant_id for p in a.allocated] == [
                 p.participant_id for p in b.allocated
             ]
@@ -173,7 +176,7 @@ class TestSelectFastParity:
             n_results=3,
             issued_at=0.0,
         )
-        decision = policy.select_fast(query, providers, ctx)
+        decision = policy.select(query, providers, ctx)
         assert len(decision.allocated) == 1
         assert not decision.is_failure
 
@@ -224,7 +227,7 @@ class TestRunDigestParity:
         ],
     )
     def test_every_policy_covered_on_the_collapse_path(self, policy):
-        """The universal-select_fast claim: engine="fast" produces
+        """The one-select claim: engine="fast" produces
         byte-identical digests for *every* policy, on the deterministic-
         latency path where the collapsed dispatch and the batched
         result drain are both active."""
@@ -546,19 +549,19 @@ class TestScenarioPresetParity:
 
 
 class TestScoringBackendParity:
-    """The fused SoA kernel vs the scalar oracle, digest-identical.
+    """The fused SoA kernel vs the scalar path, digest-identical.
 
-    ``SBQA_SCORING_BACKEND=scalar`` (resolved once into
-    ``repro.core.scoring._DEFAULT_BACKEND``) pins the fast engine to the
-    select_fast/_commit reference path; the default numpy backend turns
-    the fused kernel on.  Both must produce byte-identical run digests
-    -- the engine-level form of the contract the oracle suite
-    (tests/oracle/) replays under randomized workloads."""
+    ``repro.core.engine._PIN_SCALAR`` pins the fast engine to the
+    ``policy.select``/``_commit`` path; unpinned, the fused kernel
+    serves SbQA under constant latency.  Both must produce
+    byte-identical run digests -- the engine-level form of the contract
+    the oracle suite (tests/oracle/) replays under randomized
+    workloads."""
 
-    def _backend_digest(self, backend, monkeypatch, **overrides):
-        import repro.core.scoring as scoring
+    def _backend_digest(self, scalar, monkeypatch, **overrides):
+        import repro.core.engine as engine_module
 
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", backend)
+        monkeypatch.setattr(engine_module, "_PIN_SCALAR", scalar)
         return run_digest("fast", **overrides)
 
     def test_scalar_and_fused_digests_match(self, monkeypatch):
@@ -568,8 +571,8 @@ class TestScoringBackendParity:
             "failures": {"mttf": 1500.0, "repair_time": 60.0, "result_timeout": 240.0},
             "policies": [("sbqa", {}), ("capacity", {})],
         }
-        scalar = self._backend_digest("python", monkeypatch, **mixed)
-        fused = self._backend_digest("numpy", monkeypatch, **mixed)
+        scalar = self._backend_digest(True, monkeypatch, **mixed)
+        fused = self._backend_digest(False, monkeypatch, **mixed)
         assert scalar == fused
 
     def test_fixed_omega_backends_match(self, monkeypatch):
@@ -577,20 +580,20 @@ class TestScoringBackendParity:
             "latency": (0.05, 0.05),
             "policies": [("sbqa", {"omega": 0.3, "kn": 4})],
         }
-        scalar = self._backend_digest("python", monkeypatch, **spec)
-        fused = self._backend_digest("numpy", monkeypatch, **spec)
+        scalar = self._backend_digest(True, monkeypatch, **spec)
+        fused = self._backend_digest(False, monkeypatch, **spec)
         assert scalar == fused
 
     def test_fused_gate_follows_backend(self, monkeypatch):
-        import repro.core.scoring as scoring
+        import repro.core.engine as engine_module
 
         sim = Simulator()
         network = FastNetwork(sim, FixedLatency(0.05))
         registry = SystemRegistry()
         policy = SbQAPolicy(SbQAConfig(), RandomStream(1))
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", "python")
+        monkeypatch.setattr(engine_module, "_PIN_SCALAR", True)
         scalar_mediator = FastMediator(sim, network, registry, policy)
         assert scalar_mediator._fused_columns is None
-        monkeypatch.setattr(scoring, "_DEFAULT_BACKEND", "numpy")
+        monkeypatch.setattr(engine_module, "_PIN_SCALAR", False)
         fused_mediator = FastMediator(sim, network, registry, policy)
         assert fused_mediator._fused_columns is not None

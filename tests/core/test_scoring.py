@@ -10,9 +10,9 @@ from repro.core.scoring import (
     DEFAULT_EPSILON,
     ScoredProvider,
     rank_providers,
-    score_pairs,
     sqlb_score,
 )
+from tests.oracle.reference_policies import score_pairs
 
 intentions = st.floats(min_value=-1.0, max_value=1.0)
 omegas = st.floats(min_value=0.0, max_value=1.0)

@@ -1,10 +1,10 @@
-"""Scoring-kernel oracle: scalar vs vectorized, randomized inputs.
+"""Scoring-kernel oracle: batch kernel vs scalar kernel, randomized inputs.
 
-The scalar Definition-3 kernel (``sqlb_score`` and the python loop of
-``score_providers_batch``) is the *reference*; the vectorized numpy
-backend -- the default wherever numpy imports -- must match it to
-within one ulp on every input the mediation pipeline can produce,
-and must reject exactly the inputs the scalar kernel rejects.
+The scalar Definition-3 kernel (``sqlb_score``) is the *reference*; the
+batch kernel the mediation hot path scores ``Kn`` with
+(``score_providers_batch``) must match it bit for bit on every input
+the mediation pipeline can produce, and must reject exactly the inputs
+the scalar kernel rejects.
 
 Inputs are drawn fresh every run (seeded from ``SBQA_ORACLE_SEED`` when
 set, from the system entropy pool otherwise), so CI replays a new slice
@@ -23,18 +23,11 @@ from repro.core.scoring import (
     DEFAULT_EPSILON,
     ScoredProvider,
     rank_providers,
-    resolve_backend,
     score_providers_batch,
     sqlb_score,
 )
 from repro.des.rng import RandomStream
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - environment without numpy
-    HAVE_NUMPY = False
+from tests.oracle.reference_policies import ReferenceKnBestSelector
 
 #: One seed per test session: reproducible when pinned, fresh otherwise.
 ORACLE_SEED = int(
@@ -59,34 +52,16 @@ EDGE_INTENTIONS = (
 )
 
 
-def assert_ulp_close(got, expected, context):
-    __tracebackhide__ = True
-    ok = got == expected or math.isclose(
-        got, expected, rel_tol=1e-15, abs_tol=5e-324
-    )
-    assert ok, f"{context} (seed {ORACLE_SEED}): {got!r} != {expected!r}"
-
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")
-
-
-@needs_numpy
 class TestBatchKernelOracle:
-    """score_providers_batch: vectorized vs the scalar reference."""
+    """score_providers_batch vs the scalar reference, bit for bit."""
 
     def _compare(self, pis, cis, omegas, epsilon=DEFAULT_EPSILON):
-        scalar = score_providers_batch(
-            pis, cis, omegas, epsilon, backend="scalar"
-        )
-        vectorized = score_providers_batch(
-            pis, cis, omegas, epsilon, backend="vectorized"
-        )
-        for pi, ci, omega, s, v in zip(pis, cis, omegas, scalar, vectorized):
-            assert s == sqlb_score(pi, ci, omega, epsilon), (
-                f"scalar backend drifted from sqlb_score "
+        batch = score_providers_batch(pis, cis, omegas, epsilon)
+        for pi, ci, omega, got in zip(pis, cis, omegas, batch):
+            assert got == sqlb_score(pi, ci, omega, epsilon), (
+                f"batch kernel drifted from sqlb_score "
                 f"(seed {ORACLE_SEED}): {(pi, ci, omega, epsilon)}"
             )
-            assert_ulp_close(v, s, f"pi={pi} ci={ci} omega={omega} eps={epsilon}")
 
     def test_randomized_batches(self):
         rng = random.Random(ORACLE_SEED)
@@ -121,8 +96,7 @@ class TestBatchKernelOracle:
         self._compare(pis, cis, omegas)
 
     def test_empty_pool(self):
-        for backend in ("scalar", "vectorized"):
-            assert score_providers_batch([], [], [], backend=backend) == []
+        assert score_providers_batch([], [], []) == []
 
     def test_singleton_pool(self):
         rng = random.Random(ORACLE_SEED + 2)
@@ -135,70 +109,52 @@ class TestBatchKernelOracle:
 
     def test_all_equal_scores_preserve_ranking_order(self):
         """A pool of identical (PI, CI, omega) rows scores identically
-        under both backends, and rank_providers breaks the ties on
-        participant id the same way for both score lists."""
+        in both kernels, and rank_providers breaks the ties on
+        participant id."""
         ids = [f"p{i:02d}" for i in range(12)]
-        pis = [0.5] * len(ids)
-        cis = [0.5] * len(ids)
-        omegas = [0.5] * len(ids)
-        scalar = score_providers_batch(pis, cis, omegas, backend="scalar")
-        vectorized = score_providers_batch(
-            pis, cis, omegas, backend="vectorized"
+        batch = score_providers_batch([0.5] * 12, [0.5] * 12, [0.5] * 12)
+        assert set(batch) == {sqlb_score(0.5, 0.5, 0.5)}
+        ranking = rank_providers(
+            [ScoredProvider(pid, score, 0.5, 0.5, 0.5) for pid, score in zip(ids, batch)]
         )
-        assert len(set(scalar)) == 1
-
-        def rows(scores):
-            return [
-                ScoredProvider(pid, score, 0.5, 0.5, 0.5)
-                for pid, score in zip(ids, scores)
-            ]
-
-        scalar_rank = rank_providers(rows(scalar))
-        vector_rank = rank_providers(rows(vectorized))
-        assert [r.provider_id for r in scalar_rank] == [
-            r.provider_id for r in vector_rank
-        ]
-        assert [r.provider_id for r in scalar_rank] == ids
-
-    def test_backend_aliases_resolve(self):
-        assert resolve_backend("scalar") == resolve_backend("python")
-        assert resolve_backend("vectorized") == resolve_backend("numpy")
+        assert [r.provider_id for r in ranking] == ids
 
 
-@needs_numpy
 class TestRejectionParity:
-    """Regression for the numpy dtype edge: non-finite and out-of-range
-    inputs must be rejected by both backends, with the same message
-    vocabulary -- ``numpy.isfinite`` guards the comparisons that would
-    otherwise let NaN slide through a ``<=`` range check."""
+    """Non-finite and out-of-range inputs are rejected by the batch
+    kernel exactly as by the scalar kernel, with the same message
+    vocabulary: a NaN fails the range comparison instead of sliding
+    into the negative branch."""
+
+    @staticmethod
+    def assert_both_reject(match, pis, cis, omegas):
+        with pytest.raises(ValueError, match=match):
+            score_providers_batch(pis, cis, omegas)
+        for pi, ci, omega in zip(pis, cis, omegas):
+            try:
+                sqlb_score(pi, ci, omega)
+            except ValueError as exc:
+                assert match in str(exc)
+                return
+        pytest.fail(f"sqlb_score accepted every row of a rejected batch ({match})")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1.5, -1.5])
     def test_bad_provider_intention(self, bad):
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="provider intention"):
-                score_providers_batch([bad], [0.5], [0.5], backend=backend)
+        self.assert_both_reject("provider intention", [bad], [0.5], [0.5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2.0])
     def test_bad_consumer_intention(self, bad):
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="consumer intention"):
-                score_providers_batch([0.5], [bad], [0.5], backend=backend)
+        self.assert_both_reject("consumer intention", [0.5], [bad], [0.5])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5, 1.5])
     def test_bad_omega(self, bad):
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="omega"):
-                score_providers_batch([0.5], [0.5], [bad], backend=backend)
+        self.assert_both_reject("omega", [0.5], [0.5], [bad])
 
     def test_bad_value_among_good_ones(self):
-        """The mask form must find one NaN hidden in a valid column."""
+        """One NaN hidden in an otherwise valid column is found."""
         pis = [0.5] * 16
         pis[11] = float("nan")
-        for backend in ("scalar", "vectorized"):
-            with pytest.raises(ValueError, match="provider intention"):
-                score_providers_batch(
-                    pis, [0.5] * 16, [0.5] * 16, backend=backend
-                )
+        self.assert_both_reject("provider intention", pis, [0.5] * 16, [0.5] * 16)
 
 
 class _FakeProvider:
@@ -210,9 +166,9 @@ class _FakeProvider:
 
 
 class TestKnBestOrdinalIsomorphism:
-    """sample_working (provider objects, id tie-breaks) vs
-    sample_working_ordinals (the SoA kernel's integer-rank form): same
-    stream seed => same stage-1 draws, same stage-2 order."""
+    """Product sample_working (provider objects, id tie-breaks) vs the
+    reference sample_working_ordinals (the SoA kernel's integer-rank
+    form): same stream seed => same stage-1 draws, same stage-2 order."""
 
     def _population(self, rng, n, all_equal=False):
         u = rng.random()
@@ -238,7 +194,7 @@ class TestKnBestOrdinalIsomorphism:
             ranks = [sorted_ids.index(p.participant_id) for p in snapshot]
             draw_seed = rng.randrange(1, 2**31)
             a = KnBestSelector(k, kn, RandomStream(draw_seed))
-            b = KnBestSelector(k, kn, RandomStream(draw_seed))
+            b = ReferenceKnBestSelector(k, kn, RandomStream(draw_seed))
             k_eff_a, working, loads = a.sample_working(snapshot)
             k_eff_b, rows = b.sample_working_ordinals(snapshot, ranks)
             assert k_eff_a == k_eff_b, f"seed {ORACLE_SEED} trial {trial}"
@@ -249,7 +205,7 @@ class TestKnBestOrdinalIsomorphism:
 
     def test_singleton_candidate(self):
         provider = _FakeProvider("p000", 0.3)
-        selector = KnBestSelector(5, 2, RandomStream(1))
+        selector = ReferenceKnBestSelector(5, 2, RandomStream(1))
         k_eff, rows = selector.sample_working_ordinals([provider], [0])
         assert k_eff == 1
         assert rows == [(0.3, 0, 0)]

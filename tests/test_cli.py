@@ -500,6 +500,30 @@ class TestSpecDrivenRun:
         parallel_out = capsys.readouterr().out
         assert serial_out == parallel_out
 
+    def test_shard_workers_fallback_is_reported(self, tmp_path, capsys):
+        """--workers on an ineligible (random-latency) federation runs
+        serially, says why on stderr once per run, and writes the same
+        result JSON byte for byte."""
+        import json
+
+        path = tmp_path / "spec.json"
+        main(["spec", "scenario3", "--duration", "120", "--providers", "15",
+              "-o", str(path)])
+        spec = json.loads(path.read_text())
+        runs = len(spec["policies"]) * spec["replications"]
+        capsys.readouterr()
+        serial, workers = tmp_path / "serial.json", tmp_path / "workers.json"
+        assert main(["run", "--spec", str(path), "--shards", "2",
+                     "--json", str(serial)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["run", "--spec", str(path), "--shards", "2",
+                     "--workers", "2", "--json", str(workers)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == runs
+        for line in lines:
+            assert "shard workers fell back to a serial run (random latency" in line
+        assert serial.read_bytes() == workers.read_bytes()
+
     def test_json_rejected_on_classic_path(self, capsys):
         assert main(["run", "scenario1", "--duration", "60",
                      "--json", "out.json"]) == 2
