@@ -13,20 +13,19 @@ the event-faithful core while cutting the per-mediation constant:
   same scheduling instants, same event ordering -- only the per-send
   allocations disappear.  Unknown kinds fall back to the envelope path.
 * :class:`FastMediator` runs SbQA through the fused
-  structure-of-arrays kernel when the latency is a positive constant
-  (every other policy, and SbQA otherwise, through ``policy.select``
-  and an inlined ``_commit``), reads ``P_q`` from the registry's cached
-  capability snapshot, computes the consultation delay analytically
-  when the latency model is deterministic (every round-trip is ``2c``,
-  so the max over pairs is too), and -- when the one-way delay is a
-  positive constant -- collapses the ``len(allocated) + 1``
-  post-consultation delivery events of one allocation (which all share
-  a clock instant) into a **single** scheduler event, scheduled at the
-  same moments as the faithful chain so tie-breaking order is
-  preserved.  The result path is batched the same way: each allocated
-  provider's completion-closure + result-delivery event pair becomes a
-  member of a per-finish-instant :class:`_ResultDrain`, so replicated
-  queries on same-speed providers drain in two events total.
+  structure-of-arrays kernel under every latency model (every other
+  policy, and traced runs, through the shared ``Mediator.mediate`` /
+  ``_commit``), computes the consultation delay analytically when the
+  latency model is deterministic (every round-trip is ``2c``, so the
+  max over pairs is too), and -- when the one-way delay is a positive
+  constant -- collapses the ``len(allocated) + 1`` post-consultation
+  delivery events of one allocation (which all share a clock instant)
+  into a **single** scheduler event, scheduled at the same moments as
+  the faithful chain so tie-breaking order is preserved.  The result
+  path is batched the same way: each allocated provider's
+  completion-closure + result-delivery event pair becomes a member of
+  a per-finish-instant :class:`_ResultDrain`, so replicated queries on
+  same-speed providers drain in two events total.
 
 What is allowed to differ between the engines is the *number of
 scheduler events and Python objects*; what must not differ is clock
@@ -46,10 +45,8 @@ import math
 from typing import Any, Callable, Optional
 
 from repro.core.mediator import Mediator
-from repro.core.policy import AllocationContext
 from repro.core.soa import ConsultColumns, LazyAllocationRecord, fused_policy_supported
 from repro.des.network import Network
-from repro.des.tracing import NULL_RECORDER
 from repro.system.query import AllocationRecord, QueryResult, QueryStatus
 
 #: Engine mode names accepted by :func:`resolve_engine`.
@@ -61,8 +58,9 @@ DEFAULT_ENGINE = "fast"
 #: Private kernel pin for the differential tests and the hot-path bench:
 #: while True, newly constructed :class:`FastMediator` objects never
 #: engage the fused kernel and serve every mediation through
-#: ``policy.select`` + ``_commit``, the scalar path the fused kernel
-#: must match digest for digest.  Read once per mediator construction.
+#: ``Mediator.mediate`` (``policy.select`` + ``_commit``), the scalar
+#: path the fused kernel must match digest for digest.  Read once per
+#: mediator construction.
 _PIN_SCALAR = False
 
 
@@ -299,36 +297,32 @@ class _CollapsedDispatch:
 class FastMediator(Mediator):
     """The hot-path mediator: same pipeline, batched and collapsed.
 
-    Four deviations from the base class, none of them observable in
+    Three deviations from the base class, none of them observable in
     the results:
 
-    * SbQA decisions under a positive constant latency come from the
-      fused structure-of-arrays kernel (:meth:`_mediate_fused`); every
-      other mediation calls ``policy.select`` and an inlined
-      ``_commit`` with the decision's dicts adopted, not copied;
-    * ``P_q`` is the registry's cached
-      :meth:`~repro.system.registry.SystemRegistry.capable_snapshot`
-      tuple -- no per-mediation list build;
+    * SbQA decisions come from the fused structure-of-arrays kernel
+      (:meth:`_mediate_fused`) under every latency model unless the
+      run is traced; it ends through the same ``_consultation_delay``
+      / ``_dispatch_record`` / ``_store`` calls as ``_commit``, so a
+      random latency model is drawn in the scalar path's order.  Every
+      other mediation is the base class's ``mediate``;
     * when the latency model reports a :meth:`constant one-way delay
       <repro.des.network.LatencyModel.constant_delay>`, the
       consultation delay is ``2c`` analytically instead of a max over
       ``|Kn| + 1`` identical round-trips;
-    * when that constant is positive and tracing is off, the
-      ``len(allocated) + 1`` same-instant deliveries of an allocation
-      are one :class:`_CollapsedDispatch` event (two events per
-      dispatch instead of ``len(allocated) + 2``), and the result
-      path is batched too: completions are grouped by finish instant
-      into :class:`_ResultDrain` chains instead of one
-      completion-closure + delivery pair per provider.  (At ``c == 0``
-      every event of a mediation shares one clock instant, where
-      relative event order *is* semantics, so the faithful
-      per-delivery structure is kept -- :class:`FastNetwork` still
-      strips the envelopes.)
-
-    With a *random* latency model the collapse is disabled entirely:
-    delivery delays must be drawn from the shared latency stream at
-    dispatch time, in dispatch order, or every later draw in the run
-    would shift.
+    * when that constant is positive, the ``len(allocated) + 1``
+      same-instant deliveries of an allocation are one
+      :class:`_CollapsedDispatch` event (two events per dispatch
+      instead of ``len(allocated) + 2``), and the result path is
+      batched too: completions are grouped by finish instant into
+      :class:`_ResultDrain` chains instead of one completion-closure +
+      delivery pair per provider.  (At ``c == 0`` every event of a
+      mediation shares one clock instant, where relative event order
+      *is* semantics, so the faithful per-delivery structure is kept
+      -- :class:`FastNetwork` still strips the envelopes.  With a
+      random latency model delivery delays must be drawn from the
+      shared latency stream at dispatch time, in dispatch order, so
+      the dispatch stays faithful there too.)
     """
 
     #: Shard ordinal when this mediator is one shard of a federation
@@ -340,43 +334,27 @@ class FastMediator(Mediator):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._constant_one_way = self.network.latency.constant_delay()
-        self._policy_select = self.policy.select
-        # One reusable context for the hot loop (consumed synchronously
-        # by exactly one select per mediation; only .now changes).
-        self._ctx = AllocationContext(now=0.0, trace=NULL_RECORDER)
         # The fused structure-of-arrays kernel (see repro.core.soa) is
-        # the default mediation path; it engages when
+        # the SbQA mediation path under every latency model; it engages
+        # when
         #  * the module-level _PIN_SCALAR test hook is off;
         #  * the policy is exactly SbQAPolicy with a built-in omega;
-        #  * the latency model has a positive constant one-way delay
-        #    (the same condition the collapsed dispatch requires).
+        #  * tracing is off (the kernel records no trace events, and a
+        #    recorder's ``enabled`` is fixed when it is constructed).
         # Model support is decided per (snapshot, consumer, topic) when
         # the columns are built; unsupported mixes fall back per query.
-        c = self._constant_one_way
         self._fused_columns: Optional[dict] = None
         if (
-            c is not None
-            and c > 0.0
-            and not _PIN_SCALAR
+            not _PIN_SCALAR
+            and not self.trace.enabled
             and fused_policy_supported(self.policy)
         ):
             self._fused_columns = {}
 
     def mediate(self, query) -> AllocationRecord:
-        if self.trace.enabled:
-            return super().mediate(query)
         if self._fused_columns is not None:
             return self._mediate_fused(query)
-        self.mediations += 1
-        candidates = self.registry.capable_snapshot(query.topic)
-        if not candidates:
-            return self._fail(query)
-        ctx = self._ctx
-        ctx.now = self.now
-        decision = self._policy_select(query, candidates, ctx)
-        if not decision.allocated:
-            return self._fail(query)
-        return self._commit(query, candidates, decision)
+        return super().mediate(query)
 
     def _mediate_fused(self, query) -> AllocationRecord:
         """One mediation through the fused SoA kernel.
@@ -387,18 +365,18 @@ class FastMediator(Mediator):
         the :class:`~repro.core.soa.ConsultColumns`, per-pair Equation-2
         omega, Definition-3 scores, ranking, and both satisfaction
         windows -- runs as one pass over ordinal columns, with the
-        bookkeeping of :meth:`_commit` inlined.  Every float is
+        bookkeeping of :meth:`_commit` inlined and its consultation,
+        dispatch and store calls reused.  Every float is
         produced by the same expression shapes in the same order as the
         ``policy.select``/``_commit`` path, so allocations, windows and
         digests are bit-identical (asserted by the differential oracle
         in ``tests/oracle/``).
         """
-        self.mediations += 1
         topic = query.topic
         meta = self.registry.snapshot_meta(topic)
         snapshot = meta.snapshot
         if not snapshot:
-            return self._fail(query)
+            return super().mediate(query)  # empty P_q: the failure path
         consumer = query.consumer
 
         columns = self._fused_columns
@@ -414,12 +392,8 @@ class FastMediator(Mediator):
         if not cols.supported:
             # Model mix outside the column encoding (custom intention
             # models): scalar path, same decision, same digests.
-            ctx = self._ctx
-            ctx.now = self.now
-            decision = self._policy_select(query, snapshot, ctx)
-            if not decision.allocated:
-                return self._fail(query)
-            return self._commit(query, snapshot, decision)
+            return super().mediate(query)
+        self.mediations += 1
         if cols.dirty:
             cols.refresh()
 
@@ -624,10 +598,20 @@ class FastMediator(Mediator):
         if ct._evictions_since_rebuild >= ct.memory:
             ct._rebuild_sums()
 
-        # -- consultation cost + collapsed dispatch --------------------
-        c = self._constant_one_way
-        consult_delay = c + c
+        # -- consultation cost, dispatch, store (the _commit tail) ------
+        # Consultation messages (2|Kn| + 2) plus one outcome notice per
+        # informed provider.
         self.coordination_messages += (2 * nw + 2) + nw
+        informed_ordinals = [row[2] for row in working]
+        # A random latency model draws the consumer round-trip, then one
+        # per consulted provider in working order; the analytic 2c
+        # override never reads the informed list, so it is not built.
+        informed = (
+            [snapshot[s] for s in informed_ordinals]
+            if self._constant_one_way is None
+            else ()
+        )
+        consult_delay = self._consultation_delay(consumer, informed)
 
         record = LazyAllocationRecord(
             query,
@@ -636,95 +620,9 @@ class FastMediator(Mediator):
             adequation_value,
             consult_delay,
             ranked,
-            [row[2] for row in working],
+            informed_ordinals,
             cols.pids,
             snapshot,
-        )
-        query.status = QueryStatus.ALLOCATED
-        collapsed = _CollapsedDispatch(self.network, record, consumer, c)
-        self.sim.post_in(consult_delay, collapsed.dispatch)
-        if self.keep_records:
-            self.records.append(record)
-        if self.observer is not None:
-            self.observer.record_mediation(record)
-        return record
-
-    def _commit(self, query, candidates, decision) -> AllocationRecord:
-        if self.trace.enabled:
-            return super()._commit(query, candidates, decision)
-        consumer = query.consumer
-        allocated = decision.allocated
-        informed = decision.informed
-
-        # -- provider-side bookkeeping (Definition 2 windows) -----------
-        # The decision's intention dicts are adopted (and completed in
-        # place) rather than copied: a decision is consumed exactly once
-        # and the record owns the dicts afterwards, so the copy in the
-        # event-faithful _commit buys nothing here.  Membership is
-        # tested on the provider objects themselves (allocated holds the
-        # same objects as informed, and |allocated| <= n is tiny).
-        provider_intentions = decision.provider_intentions
-        for provider in informed:
-            pid = provider.participant_id
-            intention = provider_intentions.get(pid)
-            if intention is None:
-                intention = provider.intention_for(query)
-                provider_intentions[pid] = intention
-            provider.tracker.record_proposal(intention, provider in allocated)
-
-        # -- consumer-side bookkeeping (Equation 1 / Definition 1) ------
-        # Inlined consumer_query_satisfaction / adequation: same
-        # (i + 1) / 2 unit mapping summed in the same (decision) order,
-        # same min(1, total / n) clamp, so the floats are identical.
-        consumer_intentions = decision.consumer_intentions
-        n_results = query.n_results
-        total = 0.0
-        for provider in allocated:
-            pid = provider.participant_id
-            intention = consumer_intentions.get(pid)
-            if intention is None:
-                intention = consumer.intention_for(query, provider)
-                consumer_intentions[pid] = intention
-            total += (intention + 1.0) / 2.0
-        satisfaction = total / n_results
-        if satisfaction > 1.0:
-            satisfaction = 1.0
-
-        adequation_pool = candidates if self.adequation_over_candidates else informed
-        pool_intentions = []
-        for p in adequation_pool:
-            pid = p.participant_id
-            intention = consumer_intentions.get(pid)
-            if intention is None:
-                intention = consumer.intention_for(query, p)
-            pool_intentions.append(intention)
-        pool_intentions.sort(reverse=True)
-        total = 0.0
-        for intention in pool_intentions[:n_results]:
-            total += (intention + 1.0) / 2.0
-        adequation_value = total / n_results
-        if adequation_value > 1.0:
-            adequation_value = 1.0
-        consumer.record_query_satisfaction(satisfaction, adequation=adequation_value)
-
-        # -- consultation cost ------------------------------------------
-        consult_delay = 0.0
-        if self.policy.consults_participants:
-            consult_delay = self._consultation_delay(consumer, informed)
-            self.coordination_messages += decision.consult_messages
-        self.coordination_messages += len(informed)
-
-        record = AllocationRecord(
-            query=query,
-            decided_at=self.now,
-            allocated=allocated,
-            informed=informed,
-            consumer_intentions=consumer_intentions,
-            provider_intentions=provider_intentions,
-            scores=decision.scores,
-            omegas=decision.omegas,
-            adequation=adequation_value,
-            consultation_delay=consult_delay,
         )
         query.status = QueryStatus.ALLOCATED
         self._dispatch_record(record, consumer, consult_delay)
@@ -743,7 +641,7 @@ class FastMediator(Mediator):
         self, record: AllocationRecord, consumer, consult_delay: float
     ) -> None:
         c = self._constant_one_way
-        if c is None or c <= 0.0 or self.trace.enabled:
+        if c is None or c <= 0.0:
             super()._dispatch_record(record, consumer, consult_delay)
             return
         # Two hops, mirroring the faithful chain's scheduling moments

@@ -26,8 +26,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.policy import AllocationContext, AllocationDecision, AllocationPolicy
-from repro.core.satisfaction import adequation as compute_adequation
-from repro.core.satisfaction import consumer_query_satisfaction
 from repro.des.entity import Entity
 from repro.des.network import Message, Network
 from repro.des.scheduler import Simulator
@@ -96,6 +94,9 @@ class Mediator(Entity):
         self.mediations = 0
         self.failures = 0
         self.coordination_messages = 0
+        # One reusable context for the hot loop: consumed synchronously
+        # by exactly one select per mediation, only ``now`` changes.
+        self._ctx = AllocationContext(now=0.0, trace=trace)
 
     # ------------------------------------------------------------------
     # Entity hook
@@ -116,9 +117,9 @@ class Mediator(Entity):
     def mediate(self, query: Query) -> AllocationRecord:
         """Run the full pipeline for one query; returns its record."""
         self.mediations += 1
-        # The registry's cached P_q snapshot (shared with the fast
-        # engine): O(|P_q|) on rebuild, one dict probe between
-        # membership/online transitions.  Read-only downstream.
+        # The registry's cached P_q snapshot: O(|P_q|) on rebuild, one
+        # dict probe between membership/online transitions.  Read-only
+        # downstream.
         candidates = self.registry.capable_snapshot(query.topic)
         # Tracing is lazy: the f-string payloads are only built when a
         # recorder is actually listening, so the common (untraced) case
@@ -132,21 +133,12 @@ class Mediator(Entity):
             )
         if not candidates:
             return self._fail(query)
-
-        ctx = AllocationContext(now=self.now, trace=self.trace)
-        decision = self._select(query, candidates, ctx)
-        if decision.is_failure:
+        ctx = self._ctx
+        ctx.now = self.now
+        decision = self.policy.select(query, candidates, ctx)
+        if not decision.allocated:
             return self._fail(query)
         return self._commit(query, candidates, decision)
-
-    def _select(
-        self,
-        query: Query,
-        candidates: Sequence["Provider"],
-        ctx: AllocationContext,
-    ) -> AllocationDecision:
-        """Ask the policy for a decision; the fast engine overrides this."""
-        return self.policy.select(query, candidates, ctx)
 
     def _fail(self, query: Query) -> AllocationRecord:
         """No provider could perform the query: zero satisfaction, notify."""
@@ -171,56 +163,77 @@ class Mediator(Entity):
         decision: AllocationDecision,
     ) -> AllocationRecord:
         consumer = query.consumer
-        allocated_ids = {p.participant_id for p in decision.allocated}
+        allocated = decision.allocated
+        informed = decision.informed
 
         # -- provider-side bookkeeping (Definition 2 windows) -----------
-        provider_intentions = dict(decision.provider_intentions)
-        for provider in decision.informed:
+        # The decision's intention dicts are adopted (and completed in
+        # place) rather than copied: a decision is consumed exactly once
+        # and the record owns the dicts afterwards.  Membership is
+        # tested on the provider objects themselves (allocated holds the
+        # same objects as informed, and |allocated| <= n is tiny).
+        provider_intentions = decision.provider_intentions
+        for provider in informed:
             pid = provider.participant_id
-            if pid not in provider_intentions:
-                provider_intentions[pid] = provider.intention_for(query)
-            provider.record_proposal(provider_intentions[pid], pid in allocated_ids)
+            intention = provider_intentions.get(pid)
+            if intention is None:
+                intention = provider.intention_for(query)
+                provider_intentions[pid] = intention
+            provider.tracker.record_proposal(intention, provider in allocated)
 
         # -- consumer-side bookkeeping (Equation 1 / Definition 1) ------
-        consumer_intentions = dict(decision.consumer_intentions)
-        for provider in decision.allocated:
+        # consumer_query_satisfaction / adequation inlined: the (i + 1)
+        # / 2 unit mapping summed in decision order (never set order, so
+        # the float sum cannot depend on PYTHONHASHSEED), then the
+        # min(1, total / n) clamp.
+        consumer_intentions = decision.consumer_intentions
+        n_results = query.n_results
+        total = 0.0
+        for provider in allocated:
             pid = provider.participant_id
-            if pid not in consumer_intentions:
-                consumer_intentions[pid] = consumer.intention_for(query, provider)
-        # Iterate in decision order, not set order: Equation-1 float
-        # summation must not depend on PYTHONHASHSEED.
-        performer_intentions = [
-            consumer_intentions[p.participant_id] for p in decision.allocated
-        ]
-        satisfaction = consumer_query_satisfaction(performer_intentions, query.n_results)
+            intention = consumer_intentions.get(pid)
+            if intention is None:
+                intention = consumer.intention_for(query, provider)
+                consumer_intentions[pid] = intention
+            total += (intention + 1.0) / 2.0
+        satisfaction = total / n_results
+        if satisfaction > 1.0:
+            satisfaction = 1.0
 
-        adequation_pool = candidates if self.adequation_over_candidates else decision.informed
-        pool_intentions = [
-            consumer_intentions[p.participant_id]
-            if p.participant_id in consumer_intentions
-            else consumer.intention_for(query, p)
-            for p in adequation_pool
-        ]
-        adequation_value = compute_adequation(pool_intentions, query.n_results)
+        adequation_pool = candidates if self.adequation_over_candidates else informed
+        pool_intentions = []
+        for p in adequation_pool:
+            pid = p.participant_id
+            intention = consumer_intentions.get(pid)
+            if intention is None:
+                intention = consumer.intention_for(query, p)
+            pool_intentions.append(intention)
+        pool_intentions.sort(reverse=True)
+        total = 0.0
+        for intention in pool_intentions[:n_results]:
+            total += (intention + 1.0) / 2.0
+        adequation_value = total / n_results
+        if adequation_value > 1.0:
+            adequation_value = 1.0
         consumer.record_query_satisfaction(satisfaction, adequation=adequation_value)
 
         # -- consultation cost -------------------------------------------
         consult_delay = 0.0
         if self.policy.consults_participants:
-            consult_delay = self._consultation_delay(consumer, decision.informed)
+            consult_delay = self._consultation_delay(consumer, informed)
             self.coordination_messages += decision.consult_messages
         # outcome notification to every informed provider
-        self.coordination_messages += len(decision.informed)
+        self.coordination_messages += len(informed)
 
         record = AllocationRecord(
             query=query,
             decided_at=self.now,
-            allocated=list(decision.allocated),
-            informed=list(decision.informed),
+            allocated=allocated,
+            informed=informed,
             consumer_intentions=consumer_intentions,
             provider_intentions=provider_intentions,
-            scores=dict(decision.scores),
-            omegas=dict(decision.omegas),
+            scores=decision.scores,
+            omegas=decision.omegas,
             adequation=adequation_value,
             consultation_delay=consult_delay,
         )
@@ -230,8 +243,8 @@ class Mediator(Entity):
             self.trace.record(
                 self.now,
                 "allocate",
-                f"query {query.qid}: -> {sorted(allocated_ids)} "
-                f"(informed {len(record.informed)}, consult_delay={consult_delay:.3f})",
+                f"query {query.qid}: -> {sorted(p.participant_id for p in allocated)} "
+                f"(informed {len(informed)}, consult_delay={consult_delay:.3f})",
                 qid=query.qid,
             )
         self._store(record)
@@ -247,8 +260,8 @@ class Mediator(Entity):
         provider plus the ``mediation-ok`` notification ("sends the
         mediation result to the consumer", Section III; consumers use
         it to arm their result deadline).  The fast engine overrides
-        this with a collapsed single-event path when the latency model
-        is deterministic.
+        this with a collapsed single-event path when the one-way delay
+        is a positive constant.
         """
 
         def dispatch() -> None:

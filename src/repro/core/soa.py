@@ -63,9 +63,13 @@ math fall back to the scalar oracle path automatically):
   refreshing.
 
 Any other combination makes :meth:`ConsultColumns.build` return an
-:class:`UnsupportedColumns` marker and the engine falls back to the
-scalar ``policy.select`` path -- same decisions, same digests, just
-without the fused kernel's constant-factor savings.
+:class:`UnsupportedColumns` marker and the engine falls back, query by
+query, to the scalar ``Mediator.mediate`` path -- same decisions, same
+digests, just without the fused kernel's constant-factor savings.  The
+latency model never decides this (the kernel runs under zero, constant
+and random latency alike), so the fallback stays for exactly one
+reason: third-party intention models, and subclasses of the built-in
+ones, still reach it.
 """
 
 from __future__ import annotations
@@ -111,7 +115,9 @@ def fused_policy_supported(policy) -> bool:
     it requires that exact policy type with either the adaptive or a
     fixed omega -- which is every omega
     :func:`~repro.core.omega.make_omega_policy` can build, but a custom
-    :class:`~repro.core.omega.OmegaPolicy` subclass opts out.
+    :class:`~repro.core.omega.OmegaPolicy` subclass opts out.  This,
+    the tracing switch and the ``_PIN_SCALAR`` test hook are the whole
+    construction-time gate: the latency model plays no part.
     """
     return type(policy) is SbQAPolicy and (
         policy._omega_adaptive or policy._omega_fixed is not None

@@ -27,9 +27,9 @@ Invariants
    pair each, counted in ``coordination_messages``); for consulting
    policies the hop extends the consultation delay by the worst peer
    round-trip (``2c`` under a constant latency model -- the same
-   analytic collapse the fast engine uses, so the hot path stays
-   fused).  Non-consulting policies pay the messages but no delay,
-   mirroring how the base mediator charges consultation.
+   analytic collapse the fast engine uses).  Non-consulting policies
+   pay the messages but no delay, mirroring how the base mediator
+   charges consultation.
 4. **The global mediation order is preserved.**  All shard mediators
    append to one shared ``records`` list and report to one observer,
    so downstream analysis sees the same stream a single mediator would
@@ -42,7 +42,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import FastMediator, resolve_engine
 from repro.core.mediator import Mediator
-from repro.core.policy import AllocationContext
 from repro.des.entity import Entity
 from repro.des.network import Message
 from repro.des.tracing import NULL_RECORDER, TraceRecorder
@@ -123,9 +122,9 @@ class _ShardForwarding:
         self.forwarded += 1
         # One candidate request/reply pair per contributing peer shard.
         self.coordination_messages += 2 * len(peers)
-        decision = self._select(
-            query, merged, AllocationContext(now=self.now, trace=self.trace)
-        )
+        ctx = self._ctx
+        ctx.now = self.now
+        decision = self.policy.select(query, merged, ctx)
         if not decision.allocated:
             return self._fail(query)
         # _consultation_delay (called from _commit for consulting

@@ -13,12 +13,14 @@ and the universal policy fast paths:
     columns, inlined stage-1 sampling, one-pass consult/score/rank,
     lazy allocation records;
   - ``fast_scalar``: the same engine pinned to the scalar path
-    (``repro.core.engine._PIN_SCALAR`` -> ``policy.select`` +
-    ``_commit``), the differential-testing reference the fused kernel
-    must match digest for digest;
+    (``repro.core.engine._PIN_SCALAR`` -> the shared
+    ``Mediator.mediate``: ``policy.select`` + ``_commit``), the
+    differential-testing reference the fused kernel must match digest
+    for digest;
   - ``event``: the event-faithful reference core as it stands today
-    (already carrying the shared O(1) satisfaction windows and the
-    registry capability snapshots);
+    (the same ``Mediator.mediate``/``_commit``, the shared O(1)
+    satisfaction windows and the registry capability snapshots, with
+    one message envelope and one scheduler event per delivery);
   - ``seed_baseline``: the event core with the *pre-engine* hot path
     reconstructed -- per-read ``mean(deque)`` satisfaction
     recomputation, eagerly formatted trace payloads, and a per-query
@@ -27,9 +29,10 @@ and the universal policy fast paths:
     policy ``select`` all configurations share.
 
 * **Policy dimension** -- the same fast-vs-event split for every
-  allocation technique: ``engine="fast"`` serves the economic /
-  capacity / simple baselines through their ``select`` and the inlined
-  ``_commit``, and this matrix tracks what that is worth.
+  allocation technique: both engines serve the economic / capacity /
+  simple baselines through their ``select`` and the one
+  ``Mediator._commit``, so this matrix tracks what the fast network and
+  the collapsed dispatch are worth.
 
 * **N-providers scaling axis** -- fast-engine throughput as the
   population grows (120 -> 10000): with the indexed registry the
@@ -100,8 +103,8 @@ BENCH_VERSION = 5
 
 #: Engines measured by the throughput kernel, in reporting order.
 #: ``fast`` runs the fused structure-of-arrays kernel (the default);
-#: ``fast_scalar`` pins the fast engine to the scalar select/_commit
-#: path (``repro.core.engine._PIN_SCALAR``).
+#: ``fast_scalar`` pins the fast engine to the scalar
+#: ``Mediator.mediate`` path (``repro.core.engine._PIN_SCALAR``).
 CONFIGURATIONS = ("fast", "fast_scalar", "event", "seed_baseline")
 
 #: Policies measured by the policy matrix, in reporting order.
@@ -775,8 +778,9 @@ def check_digest_parity(
     Byte-compares the JSON digests (the spec serialization deliberately
     omits the engine, so any difference is a result difference) across
 
-    * ``engine="fast"`` with the fused SoA kernel (ambient backend),
-    * ``engine="fast"`` pinned to the scalar oracle backend, and
+    * ``engine="fast"`` with the fused SoA kernel (which serves SbQA
+      under the scenario's random latency too),
+    * ``engine="fast"`` pinned to the scalar path, and
     * ``engine="event"``.
 
     ``identical`` is the fast/event engine contract;

@@ -16,6 +16,7 @@ Three layers of evidence:
   engine-level face of the tests/oracle/ contract).
 """
 
+import hashlib
 import json
 
 import pytest
@@ -32,9 +33,11 @@ from repro.core.engine import (
     make_network,
     resolve_engine,
 )
+from repro.core.intentions import PreferenceUtilizationIntentions
 from repro.core.mediator import Mediator
 from repro.core.policy import AllocationContext
 from repro.core.sbqa import SbQAConfig, SbQAPolicy
+from repro.core.soa import UnsupportedColumns
 from repro.des.network import FixedLatency, Network, UniformLatency, ZeroLatency
 from repro.des.rng import RandomStream
 from repro.des.scheduler import Simulator
@@ -401,8 +404,9 @@ class TestRunDigestParity:
         assert allocations("fast") == allocations("event")
 
     def test_trace_runs_are_identical_and_traced(self):
-        """With tracing on, the fast engine falls back to the faithful
-        paths and records the same trace as the event engine."""
+        """With tracing on, the fast engine leaves the fused kernel off,
+        runs the shared ``Mediator.mediate``/``_commit`` and records
+        the same trace as the event engine."""
         from repro.system.query import reset_query_counter
 
         traces = {}
@@ -553,7 +557,7 @@ class TestScoringBackendParity:
 
     ``repro.core.engine._PIN_SCALAR`` pins the fast engine to the
     ``policy.select``/``_commit`` path; unpinned, the fused kernel
-    serves SbQA under constant latency.  Both must produce
+    serves SbQA under every latency model.  Both must produce
     byte-identical run digests -- the engine-level form of the contract
     the oracle suite (tests/oracle/) replays under randomized
     workloads."""
@@ -597,3 +601,117 @@ class TestScoringBackendParity:
         monkeypatch.setattr(engine_module, "_PIN_SCALAR", False)
         fused_mediator = FastMediator(sim, network, registry, policy)
         assert fused_mediator._fused_columns is not None
+
+
+    @pytest.mark.parametrize("latency", ["zero", "fixed", "uniform"])
+    def test_fused_gate_ignores_latency_and_follows_tracing(self, latency):
+        models = {
+            "zero": ZeroLatency(),
+            "fixed": FixedLatency(0.05),
+            "uniform": UniformLatency(0.02, 0.08, RandomStream(3)),
+        }
+        sim = Simulator()
+        network = FastNetwork(sim, models[latency])
+        registry = SystemRegistry()
+        policy = SbQAPolicy(SbQAConfig(), RandomStream(1))
+        assert FastMediator(sim, network, registry, policy)._fused_columns == {}
+        traced = FastMediator(
+            sim, network, registry, policy, trace=TraceRecorder(enabled=True)
+        )
+        assert traced._fused_columns is None
+
+
+class TestUnsupportedColumnsFallback:
+    """Custom intention models: the fused kernel's per-query fallback.
+
+    ``ConsultColumns.build`` checks intention-model types exactly, so a
+    subclass -- even one that overrides nothing -- is cached as
+    :class:`~repro.core.soa.UnsupportedColumns` and every mediation of
+    that (consumer, topic) goes through ``policy.select`` +
+    ``_commit``.  The run must match the pinned scalar path and the
+    event engine under constant and random latency alike."""
+
+    class CustomBlend(PreferenceUtilizationIntentions):
+        """A third-party provider model (same arithmetic, new type)."""
+
+    def _run(self, engine, latency):
+        from repro.system.query import reset_query_counter
+        from repro.workloads.arrivals import DeterministicArrivals
+        from repro.workloads.queries import FixedDemand
+
+        reset_query_counter()
+        sim = Simulator()
+        if latency == "fixed":
+            model = FixedLatency(0.05)
+        else:
+            model = UniformLatency(0.02, 0.08, RandomStream(31))
+        network = (FastNetwork if engine == "fast" else Network)(sim, model)
+        registry = SystemRegistry()
+        stream = RandomStream(29)
+        providers = [
+            Provider(
+                sim,
+                network,
+                participant_id=f"p{i:02d}",
+                capacity=stream.uniform(0.5, 2.0),
+                preferences={"c0": stream.uniform(-1.0, 1.0)},
+                intention_model=self.CustomBlend() if i % 2 else None,
+            )
+            for i in range(12)
+        ]
+        for p in providers:
+            registry.add_provider(p)
+        consumer = Consumer(
+            sim,
+            network,
+            participant_id="c0",
+            default_n_results=2,
+            preferences={p.participant_id: stream.uniform(-1.0, 1.0) for p in providers},
+        )
+        registry.add_consumer(consumer)
+        policy = SbQAPolicy(SbQAConfig(k=8, kn=4), RandomStream(7))
+        mediator = make_mediator(engine, sim, network, registry, policy)
+        consumer.attach_mediator(mediator)
+        DeterministicArrivals(
+            sim, consumer, FixedDemand(4.0), interval=0.7, horizon=120.0
+        ).start()
+        sim.run()
+        outcome = (
+            [
+                (
+                    tuple(r.allocated_ids),
+                    r.decided_at,
+                    r.consultation_delay,
+                    r.adequation,
+                    r.completed_at,
+                    tuple(
+                        (res.provider_id, res.started_at, res.finished_at)
+                        for res in r.results
+                    ),
+                )
+                for r in mediator.records
+            ],
+            consumer.satisfaction,
+            [p.satisfaction for p in providers],
+            mediator.coordination_messages,
+            network.messages_sent,
+            network.messages_delivered,
+            sim.now,
+        )
+        digest = hashlib.sha256(repr(outcome).encode()).hexdigest()
+        return digest, mediator, len(mediator.records)
+
+    @pytest.mark.parametrize("latency", ["fixed", "uniform"])
+    def test_fallback_matches_scalar_and_event(self, latency, monkeypatch):
+        import repro.core.engine as engine_module
+
+        fused, mediator, mediations = self._run("fast", latency)
+        entries = list(mediator._fused_columns.values())
+        assert entries and all(type(e) is UnsupportedColumns for e in entries)
+        assert mediations > 100
+        monkeypatch.setattr(engine_module, "_PIN_SCALAR", True)
+        scalar, _, _ = self._run("fast", latency)
+        monkeypatch.setattr(engine_module, "_PIN_SCALAR", False)
+        event, _, _ = self._run("event", latency)
+        assert fused == scalar
+        assert fused == event

@@ -11,15 +11,19 @@ replays it four ways:
   ``_commit`` path the fused kernel must reproduce;
 * ``engine="event"``, the event-faithful core;
 * ``engine="event"`` with every policy swapped for its independent
-  reference twin (``tests/oracle/reference_policies.py``), so the
-  product ``select`` bodies are checked against a second derivation of
-  every decision over whole runs.
+  reference twin (``tests/oracle/reference_policies.py``) and every
+  mediator built as the reference mediator
+  (``tests/oracle/reference_mediator.py``), so the product ``select``
+  bodies and the product commit bookkeeping are checked against a
+  second derivation over whole runs.
 
 All four ``ExperimentResult`` JSON digests must be byte-identical.
 The case generator is seeded from ``SBQA_ORACLE_SEED`` when set and
 from system entropy otherwise, so CI sweeps a fresh slice of the
 workload space on every run while any failure stays reproducible from
-the seed in its message.
+the seed in its message.  Fixed cases ride along on every run: one per
+latency regime, and one four-shard federation under random latency
+whose every query is forwarded across shards.
 """
 
 import json
@@ -36,6 +40,7 @@ from repro.api.session import Session
 from repro.des.tracing import TraceRecorder
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.system.query import reset_query_counter
+from tests.oracle.reference_mediator import use_reference_mediators
 from tests.oracle.reference_policies import reference_twin
 
 ORACLE_SEED = int(
@@ -46,8 +51,8 @@ N_CASES = 5
 
 LATENCIES = {
     "zero": (0.0, 0.0),
-    "fixed": (0.05, 0.05),  # the collapsed-dispatch / fused path
-    "uniform": (0.02, 0.08),  # random latency: fused gate stays off
+    "fixed": (0.05, 0.05),  # collapsed dispatch, analytic 2c consultation
+    "uniform": (0.02, 0.08),  # random latency: round-trips drawn in working order
 }
 
 
@@ -75,17 +80,52 @@ def _draw_cases():
     return cases
 
 
-CASES = _draw_cases()
+#: Drawn independently of ``SBQA_ORACLE_SEED``, so every run covers
+#: every latency regime and the forwarded federation path.
+FIXED_CASES = [
+    {
+        "index": f"{regime}",
+        "seed": 20090301 + offset,
+        "duration": 200.0,
+        "providers": 32,
+        "latency": regime,
+        "sbqa": {"k": 12, "kn": 5},
+        "extra_policy": True,
+        "autonomous": True,
+        "failures": regime == "uniform",
+    }
+    for offset, regime in enumerate(LATENCIES)
+] + [
+    {
+        "index": "federated-uniform",
+        "seed": 20090311,
+        "duration": 200.0,
+        "providers": 40,
+        "latency": "uniform",
+        "sbqa": {"k": 10, "kn": 4},
+        "extra_policy": True,
+        "autonomous": False,
+        "failures": False,
+        # Every home shard holds fewer than 40 providers, so every
+        # query is forwarded over the merged four-shard pool.
+        "federation": {"shards": 4, "forward_threshold": 40},
+    }
+]
+
+CASES = _draw_cases() + FIXED_CASES
 
 
 def use_reference_policies(patch):
-    """Build every run's policy as its reference twin while ``patch`` lasts."""
+    """Build every run's policy as its reference twin, and every
+    event-engine mediator as the reference mediator, while ``patch``
+    lasts."""
     make_policy = runner.make_policy
     patch.setattr(
         runner,
         "make_policy",
         lambda *args, **kwargs: reference_twin(make_policy(*args, **kwargs)),
     )
+    use_reference_mediators(patch)
 
 
 def _case_digest(case, engine, monkeypatch, scalar=False, reference=False):
@@ -111,16 +151,22 @@ def _case_digest(case, engine, monkeypatch, scalar=False, reference=False):
             builder.failures(
                 mttf=1200.0, repair_time=60.0, result_timeout=240.0
             )
-        return Session(builder.build()).run(keep_runs=False).to_json()
+        if "federation" in case:
+            builder.federation(**case["federation"])
+        result = Session(builder.build()).run(keep_runs=True)
+        forwarded = sum(getattr(run.mediator, "forwarded", 0) for run in result.runs)
+        return result.to_json(), forwarded
 
 
 @pytest.mark.parametrize("case", CASES, ids=[f"case{c['index']}" for c in CASES])
 def test_fused_scalar_and_event_digests_agree(case, monkeypatch):
-    fused = _case_digest(case, "fast", monkeypatch)
-    scalar = _case_digest(case, "fast", monkeypatch, scalar=True)
-    event = _case_digest(case, "event", monkeypatch)
-    reference = _case_digest(case, "event", monkeypatch, reference=True)
+    fused, forwarded = _case_digest(case, "fast", monkeypatch)
+    scalar, _ = _case_digest(case, "fast", monkeypatch, scalar=True)
+    event, _ = _case_digest(case, "event", monkeypatch)
+    reference, _ = _case_digest(case, "event", monkeypatch, reference=True)
     context = f"seed {ORACLE_SEED}, case {case}"
+    if "federation" in case:
+        assert forwarded > 0, f"no query was forwarded: {context}"
     assert fused == scalar, f"fused kernel diverged from scalar path: {context}"
     assert scalar == event, f"fast engine diverged from event engine: {context}"
     assert event == reference, f"product select diverged from reference: {context}"
@@ -128,19 +174,23 @@ def test_fused_scalar_and_event_digests_agree(case, monkeypatch):
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 def test_traced_runs_match_reference(policy, monkeypatch):
-    """Tracing on: every product ``select`` records the same trace
-    events as its reference twin, and the runs stay identical."""
+    """Tracing on: every product ``select`` and the product mediator
+    record the same trace events as the references, on both engines,
+    and the runs stay identical."""
     traces, summaries = [], []
-    for reference in (False, True):
+    for engine, reference in (("event", True), ("event", False), ("fast", False)):
         with monkeypatch.context() as patch:
             if reference:
                 use_reference_policies(patch)
             reset_query_counter()  # qids appear in trace payloads
             recorder = TraceRecorder(enabled=True)
-            config = ExperimentConfig(name="traced", duration=60.0, engine="event")
+            config = ExperimentConfig(name="traced", duration=60.0, engine=engine)
             result = runner.run_once(config, PolicySpec(name=policy), trace=recorder)
         traces.append([(e.time, e.category, e.message) for e in recorder.events])
         summaries.append(json.dumps(result.summary.as_dict(), sort_keys=True))
-    assert traces[0] == traces[1]
-    assert summaries[0] == summaries[1]
+    assert traces[1] == traces[0], "event engine trace diverged from reference"
+    assert traces[2] == traces[0], "fast engine trace diverged from reference"
+    assert summaries[1] == summaries[0]
+    assert summaries[2] == summaries[0]
     assert any(category == "mediate" for _, category, _ in traces[0])
+    assert any(category == "allocate" for _, category, _ in traces[0])
